@@ -15,8 +15,9 @@ step() { printf '\n==> %s\n' "$*"; }
 step "cargo build --release"
 cargo build --release
 
-step "cargo test -q"
-cargo test -q
+step "cargo test -q --no-fail-fast"
+# --no-fail-fast: one red test binary must not hide the suites after it
+cargo test -q --no-fail-fast
 
 if [[ "${1:-}" != "quick" ]]; then
     step "cargo fmt --check"

@@ -138,6 +138,48 @@ impl Container {
         }
     }
 
+    /// Keeps the values `base | low` for which `keep` holds and appends the
+    /// others to `removed` in ascending order. A bitmap that loses values
+    /// demotes to an array at [`ARRAY_MAX`], as [`Container::remove`] does.
+    pub(crate) fn retain_values(
+        &mut self,
+        base: u32,
+        keep: &mut impl FnMut(u32) -> bool,
+        removed: &mut Vec<u32>,
+    ) {
+        match self {
+            Container::Array(a) => a.retain(|&low| {
+                let v = base | low as u32;
+                keep(v) || {
+                    removed.push(v);
+                    false
+                }
+            }),
+            Container::Bitmap { words, len } => {
+                let before = removed.len();
+                for (wi, word) in words.iter_mut().enumerate() {
+                    let mut w = *word;
+                    while w != 0 {
+                        let b = w.trailing_zeros();
+                        w &= w - 1;
+                        let v = base | (wi as u32) << 6 | b;
+                        if !keep(v) {
+                            *word &= !(1u64 << b);
+                            removed.push(v);
+                        }
+                    }
+                }
+                let dropped = (removed.len() - before) as u32;
+                if dropped > 0 {
+                    *len -= dropped;
+                    if *len as usize <= ARRAY_MAX {
+                        *self = Container::Array(Self::bitmap_to_lows(words));
+                    }
+                }
+            }
+        }
+    }
+
     fn bitmap_to_lows(words: &[u64; BITMAP_WORDS]) -> Vec<u16> {
         let mut out = Vec::new();
         for (wi, &word) in words.iter().enumerate() {

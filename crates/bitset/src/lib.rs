@@ -23,10 +23,12 @@
 //! workspace can treat it as an opaque set type.
 
 mod container;
+mod dense;
 mod iter;
 mod ops;
 
 pub use container::{Container, ARRAY_MAX, BITMAP_WORDS};
+pub use dense::DenseBits;
 pub use iter::{BatchIter, Iter};
 pub use ops::{for_each_in_intersection, intersection_nonempty};
 
@@ -465,11 +467,19 @@ impl Bitset {
     }
 
     /// Retains only values for which `keep` returns true.
-    pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        let doomed: Vec<u32> = self.iter().filter(|&v| !keep(v)).collect();
-        for v in doomed {
-            self.remove(v);
-        }
+    pub fn retain(&mut self, keep: impl FnMut(u32) -> bool) {
+        self.retain_reporting(keep, &mut Vec::new());
+    }
+
+    /// Retains only values for which `keep` returns true and appends the
+    /// dropped ones to `removed` in ascending order. Filters each container
+    /// in place; the result is the same bitset (containers included) that
+    /// removing the dropped values one by one would leave.
+    pub fn retain_reporting(&mut self, mut keep: impl FnMut(u32) -> bool, removed: &mut Vec<u32>) {
+        self.chunks.retain_mut(|(key, c)| {
+            c.retain_values((*key as u32) << 16, &mut keep, removed);
+            !c.is_empty()
+        });
     }
 
     /// Rank: number of stored values strictly below `value`.

@@ -192,6 +192,28 @@ proptest! {
         prop_assert_eq!(set.iter().next(), None);
     }
 
+    /// `retain_reporting` leaves the same bitset, containers included, as
+    /// removing the dropped values one at a time, and reports them sorted.
+    /// Dense inputs cross the array/bitmap threshold in both directions.
+    #[test]
+    fn retain_reporting_equals_removal(
+        dense in prop::collection::vec(0u32..9_000, 0..8_000),
+        sparse in prop::collection::vec(65_536u32..65_600, 0..50),
+        modulus in 1u32..5,
+    ) {
+        let set = Bitset::from_slice(&[dense, sparse].concat());
+        let mut filtered = set.clone();
+        let mut removed = Vec::new();
+        filtered.retain_reporting(|v| v % modulus == 0, &mut removed);
+        let expect_removed: Vec<u32> = set.iter().filter(|v| v % modulus != 0).collect();
+        let mut one_by_one = set.clone();
+        for &v in &expect_removed {
+            one_by_one.remove(v);
+        }
+        prop_assert_eq!(&removed, &expect_removed);
+        prop_assert!(filtered == one_by_one, "container layout differs from one-by-one removal");
+    }
+
     #[test]
     fn rank_iter_round_trip(vals in values()) {
         // rank(v) over members enumerates 0..len in iteration order, and

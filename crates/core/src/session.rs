@@ -1,8 +1,8 @@
 //! The `Session` API — the single front door to the GM pipeline.
 //!
 //! A [`Session`] owns a **versioned graph store** (base CSR segment + delta
-//! overlay), its BFL reachability index, and an LRU cache of built RIGs
-//! (the per-query "plans" of this engine). Queries enter as HPQL text
+//! overlay), its BFL reachability index, and a scan-resistant LRU cache of
+//! built RIGs (the per-query "plans" of this engine). Queries enter as HPQL text
 //! (`MATCH (a:Author)->(p:Paper)=>(q:Paper)`) or as hand-built
 //! [`PatternQuery`] values, are parsed / validated / transitively reduced /
 //! canonicalized **once** by [`Session::prepare`], and then execute any
@@ -129,11 +129,20 @@ struct CacheEntry {
     /// depend on paths through nodes of *any* label, so every structural
     /// (edge-mutating) commit invalidates them.
     has_reach: bool,
+    /// Set on the entry's first cache hit; never-hit plans are the first
+    /// to go (see [`PlanCache`]).
+    hit: bool,
 }
 
-/// Tiny exact-LRU over a vec: entries ordered most- to least-recently
-/// used. Capacities are small (default 64), so the linear scan is cheaper
-/// than a linked-hash structure and keeps the code dependency-free.
+/// Scan-resistant LRU over a vec: entries ordered most- to least-recently
+/// used, each marked on its first hit. Plans that were never hit may hold
+/// at most `max(1, capacity / 4)` slots, so a stream of one-off queries
+/// cannot flush the plans that are reused: past that limit, or when the
+/// cache is full, the least-recent never-hit plan (other than the one
+/// just inserted) goes first, and a hit plan only when no other never-hit
+/// plan is resident. Capacities are small (default 64), so the linear scan
+/// is cheaper than a linked-hash structure and keeps the code
+/// dependency-free.
 struct PlanCache {
     capacity: usize,
     entries: Vec<CacheEntry>,
@@ -143,22 +152,33 @@ struct PlanCache {
 impl PlanCache {
     fn get(&mut self, key: &CacheKey) -> Option<Arc<Rig>> {
         let pos = self.entries.iter().position(|e| e.key == *key)?;
-        let entry = self.entries.remove(pos);
+        let mut entry = self.entries.remove(pos);
+        entry.hit = true;
         let rig = Arc::clone(&entry.rig);
         self.entries.insert(0, entry);
         Some(rig)
     }
 
-    fn insert(&mut self, entry: CacheEntry) {
+    fn insert(&mut self, mut entry: CacheEntry) {
         if self.capacity == 0 {
             return;
         }
         if let Some(pos) = self.entries.iter().position(|e| e.key == entry.key) {
-            self.entries.remove(pos);
+            entry.hit |= self.entries.remove(pos).hit;
         }
         self.entries.insert(0, entry);
-        while self.entries.len() > self.capacity {
-            self.entries.pop();
+        let never_hit_limit = (self.capacity / 4).max(1);
+        loop {
+            let never_hit = self.entries.iter().filter(|e| !e.hit).count();
+            if self.entries.len() <= self.capacity && never_hit <= never_hit_limit {
+                return;
+            }
+            // the newcomer at index 0 is spared: it has had no chance to hit
+            let victim = match self.entries[1..].iter().rposition(|e| !e.hit) {
+                Some(i) => i + 1,
+                None => self.entries.len() - 1,
+            };
+            self.entries.remove(victim);
             self.evictions += 1;
         }
     }
@@ -172,7 +192,7 @@ pub struct CacheStats {
     /// Cache lookups that missed and built their RIG (`no_cache` bypass
     /// runs count neither here nor as hits).
     pub misses: u64,
-    /// Entries evicted by the LRU policy.
+    /// Entries evicted by the cache's replacement policy.
     pub evictions: u64,
     /// Plans dropped by commit label-set invalidation (witnesses that a
     /// commit hit a plan's labels — or its reachability edges).
@@ -1239,6 +1259,7 @@ impl Session {
                         .any(|e| e.kind == EdgeKind::Reachability),
                     rig: Arc::clone(&rig),
                     key,
+                    hit: false,
                 });
             }
         }
@@ -2269,21 +2290,75 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recent() {
-        let session = fig2_session().cache_capacity(2);
+    fn cache_evicts_never_hit_plans_first() {
+        // capacity 4: never-hit plans may hold max(1, 4 / 4) = 1 slot
+        let session = fig2_session().cache_capacity(4);
         let a = session.prepare("MATCH (a:A)->(b:B)").unwrap();
         let b = session.prepare("MATCH (b:B)=>(c:C)").unwrap();
         let c = session.prepare("MATCH (a:A)=>(c:C)").unwrap();
         a.run().count(); // cache: [a]
+        a.run().count(); // hit; a is now a reused plan
         b.run().count(); // cache: [b, a]
-        a.run().count(); // hit; cache: [a, b]
-        c.run().count(); // evicts b; cache: [c, a]
-        b.run().count(); // miss again
+        c.run().count(); // two never-hit plans: evicts b; cache: [c, a]
+        b.run().count(); // miss again; evicts c; cache: [b, a]
+        a.run().count(); // the reused plan survived both one-off inserts
         let stats = session.cache_stats();
-        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 4);
         assert_eq!(stats.evictions, 2);
         assert_eq!(stats.entries, 2);
+    }
+
+    #[test]
+    fn full_cache_of_reused_plans_evicts_least_recent() {
+        let session = fig2_session().cache_capacity(2);
+        let a = session.prepare("MATCH (a:A)->(b:B)").unwrap();
+        let b = session.prepare("MATCH (b:B)=>(c:C)").unwrap();
+        let c = session.prepare("MATCH (a:A)=>(c:C)").unwrap();
+        for p in [&a, &b] {
+            p.run().count();
+            p.run().count(); // hit: reused
+        }
+        c.run().count(); // no other never-hit plan: evicts a, the least recent
+        b.run().count(); // hit
+        c.run().count(); // hit: the newcomer was admitted
+        a.run().count(); // miss
+        let stats = session.cache_stats();
+        assert_eq!(stats.hits, 4);
+        assert_eq!(stats.misses, 4);
+        assert_eq!(stats.entries, 2);
+    }
+
+    #[test]
+    fn one_off_query_stream_cannot_flush_a_reused_plan() {
+        let capacity = 8;
+        let session = fig2_session().cache_capacity(capacity);
+        let hot = session.prepare("MATCH (a:A)->(b:B)").unwrap();
+        hot.run().count();
+        let one_offs = [
+            "MATCH (b:B)=>(c:C)",
+            "MATCH (a:A)=>(c:C)",
+            "MATCH (a:A)->(c:C)",
+            "MATCH (b:B)->(c:C)",
+            "MATCH (a:A)=>(b:B)",
+            "MATCH (c:C)->(c2:C)",
+            "MATCH (a:A)->(b:B)->(c:C)",
+            "MATCH (a:A)->(b:B)=>(c:C)",
+            "MATCH (a:A)=>(b:B)->(c:C)",
+            "MATCH (a:A)=>(b:B)=>(c:C)",
+            "MATCH (b:B)->(c:C)->(c2:C)",
+            "MATCH (a:A)->(c:C)->(c2:C)",
+        ];
+        for (i, text) in one_offs.iter().enumerate() {
+            session.prepare(*text).unwrap().run().count();
+            let stats = session.cache_stats();
+            // the hot plan plus at most capacity / 4 never-hit plans
+            assert!(stats.entries <= 1 + capacity / 4, "after {} one-offs: {stats:?}", i + 1);
+            assert!(hot.run().count().metrics.rig_from_cache, "reused plan evicted");
+        }
+        let stats = session.cache_stats();
+        assert_eq!(stats.misses, 1 + one_offs.len() as u64);
+        assert_eq!(stats.evictions, (one_offs.len() - capacity / 4) as u64);
     }
 
     #[test]

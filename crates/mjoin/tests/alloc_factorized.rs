@@ -2,11 +2,12 @@
 //! warm-up pass, repeated `count()` / `exists()` calls on a prebuilt
 //! [`rig_mjoin::Factorization`] must perform **zero heap allocations** —
 //! the DP runs entirely in the scratch buffers sized at construction time.
-//! Same counting-global-allocator harness as `alloc_steady.rs` (own test
-//! binary so the counter sees every allocation in the process).
+//! Same counting-global-allocator harness as `alloc_steady.rs`: every
+//! thread's allocations are counted separately, and the test reads the
+//! count of the thread that runs the DP.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rig_graph::{GraphBuilder, NodeId};
 use rig_index::{build_rig, RigOptions};
@@ -17,21 +18,36 @@ use rig_sim::SimContext;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by the current thread. Const-initialized and
+    /// drop-free, so the allocator can touch it at any point of a thread's
+    /// life without allocating itself.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` fails only during thread-local teardown, which no test reads
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocation calls made so far by the calling thread.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -97,13 +113,13 @@ fn repeated_dp_counts_do_not_allocate() {
         let expect = warm.total.expect("counts fit in u128 here");
         assert!(expect > 0);
 
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = alloc_calls();
         for _ in 0..50 {
             let c = f.count();
             assert_eq!(c.total, Some(expect));
             assert!(f.exists());
         }
-        let after = ALLOC_CALLS.load(Ordering::Relaxed);
+        let after = alloc_calls();
         assert_eq!(
             after,
             before,

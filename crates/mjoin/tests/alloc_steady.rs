@@ -1,12 +1,13 @@
 //! Allocation regression test: steady-state MJoin enumeration must perform
 //! **zero heap allocations per recursion step**. A counting global
-//! allocator (own test binary, so the counter sees every allocation in the
-//! process) snapshots the allocation count at the first emitted tuple
+//! allocator counts each thread's allocations separately; the test
+//! snapshots the enumerating thread's count at the first emitted tuple
 //! (after which all per-depth scratch is warm) and asserts it never moves
-//! again for the remainder of the enumeration.
+//! again for the remainder of the enumeration. Per-thread counts keep the
+//! assertion exact while other tests of this binary allocate in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rig_graph::{GraphBuilder, NodeId};
 use rig_index::{build_rig, RigOptions};
@@ -17,21 +18,36 @@ use rig_sim::SimContext;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by the current thread. Const-initialized and
+    /// drop-free, so the allocator can touch it at any point of a thread's
+    /// life without allocating itself.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` fails only during thread-local teardown, which no test reads
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocation calls made so far by the calling thread.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -85,7 +101,7 @@ fn zero_allocations_per_steady_state_step() {
     let mut at_last_visit: u64 = 0;
     let mut visits: u64 = 0;
     let r = enumerate(&q, &rig, &opts, |_| {
-        let now = ALLOC_CALLS.load(Ordering::Relaxed);
+        let now = alloc_calls();
         if at_first_visit.is_none() {
             at_first_visit = Some(now);
         }
@@ -121,7 +137,7 @@ fn restricted_enumeration_is_steady_state_allocation_free() {
     let mut at_last_visit: u64 = 0;
     let mut visits: u64 = 0;
     rig_mjoin::enumerate_restricted(&q, &rig, &opts, &root_half, |_| {
-        let now = ALLOC_CALLS.load(Ordering::Relaxed);
+        let now = alloc_calls();
         if at_first_visit.is_none() {
             at_first_visit = Some(now);
         }

@@ -32,7 +32,7 @@ pub use bfl::BflIndex;
 pub use interval::IntervalLabels;
 pub use overlay::SnapshotReach;
 pub use scc::Condensation;
-pub use setreach::{ancestors_of_set, descendants_of_set};
+pub use setreach::{ancestors_of_set, descendants_of_set, sweep, Direction, SweepScratch};
 pub use tc::TransitiveClosure;
 
 use rig_graph::NodeId;

@@ -160,7 +160,7 @@ pub fn render(metrics: &ServerMetrics, session: &Session) -> String {
     let c: CacheStats = session.cache_stats();
     counter(&mut out, "rigmatch_plan_cache_hits_total", "plan cache hits", c.hits);
     counter(&mut out, "rigmatch_plan_cache_misses_total", "plan cache misses", c.misses);
-    counter(&mut out, "rigmatch_plan_cache_evictions_total", "LRU evictions", c.evictions);
+    counter(&mut out, "rigmatch_plan_cache_evictions_total", "plan-cache evictions", c.evictions);
     counter(
         &mut out,
         "rigmatch_plan_cache_invalidated_total",

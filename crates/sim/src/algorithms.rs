@@ -1,6 +1,6 @@
 //! The three FB fixpoint algorithms (Algs. 1–3 of the paper).
 
-use crate::checks::{backward_prune_edge, forward_prune_edge};
+use crate::checks::{backward_prune_edge, forward_prune_edge, PruneScratch};
 use crate::{SimAlgorithm, SimContext, SimOptions, SimResult, TraceEvent};
 use rig_bitset::Bitset;
 use rig_query::{EdgeId, QNode};
@@ -53,6 +53,7 @@ struct Runner<'c, 'a> {
     step: usize,
     pruned: u64,
     trace: Vec<TraceEvent>,
+    scratch: PruneScratch,
 }
 
 impl<'c, 'a> Runner<'c, 'a> {
@@ -72,6 +73,7 @@ impl<'c, 'a> Runner<'c, 'a> {
             step: 0,
             pruned: 0,
             trace: Vec::new(),
+            scratch: PruneScratch::new(),
         }
     }
 
@@ -98,13 +100,15 @@ impl<'c, 'a> Runner<'c, 'a> {
 
     fn fwd(&mut self, eid: EdgeId) -> bool {
         let q = self.ctx.query.edge(eid).from;
-        let removed = forward_prune_edge(self.ctx, &mut self.fb, eid, &self.opts);
+        let removed =
+            forward_prune_edge(self.ctx, &mut self.fb, eid, &self.opts, &mut self.scratch);
         self.record(q, removed)
     }
 
     fn bwd(&mut self, eid: EdgeId) -> bool {
         let q = self.ctx.query.edge(eid).to;
-        let removed = backward_prune_edge(self.ctx, &mut self.fb, eid, &self.opts);
+        let removed =
+            backward_prune_edge(self.ctx, &mut self.fb, eid, &self.opts, &mut self.scratch);
         self.record(q, removed)
     }
 

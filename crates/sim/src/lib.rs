@@ -24,13 +24,26 @@
 //! implementation ([`DirectCheckMode`]: `binSearch` / `bitIter` / `bitBat`,
 //! Fig. 12a), the reachability-edge check ([`ReachCheckMode`]), change-flag
 //! pass skipping (`DagMap`, Fig. 12b) and the N-pass approximation of §4.5.
+//!
+//! Every check goes through [`forward_prune_edge`] / [`backward_prune_edge`].
+//! The default kernels run on dense bitmaps held in a [`PruneScratch`]
+//! that one run reuses for all of its checks: direct edges *pull* (mark the
+//! other side, scan each candidate's adjacency to the first mark) or *push*
+//! (mark the other side's reverse adjacency, probe each candidate), by the
+//! smaller adjacency-degree sum; reachability edges run one multi-source
+//! sweep that stops once every candidate has been reached. Their output is
+//! bit-identical to the union-and-intersect formulation they replace —
+//! same candidate sets after every check, same `passes`, `pruned` and
+//! trace — which a test-only reference checks differentially.
 
 mod algorithms;
 mod checks;
 mod prefilter;
+#[cfg(test)]
+mod reference;
 
 pub use algorithms::{double_simulation, double_simulation_seeded};
-pub use checks::{backward_prune_edge, forward_prune_edge};
+pub use checks::{backward_prune_edge, forward_prune_edge, PruneScratch};
 pub use prefilter::prefilter;
 
 use rig_bitset::Bitset;
@@ -98,8 +111,9 @@ pub enum DirectCheckMode {
     /// Per candidate node, bitmap AND of its adjacency list with the
     /// candidate set of the other endpoint.
     BitIter,
-    /// One batch per (edge, direction): union the adjacency bitmaps of one
-    /// side, intersect with the other side ("bitBat").
+    /// One batch per (edge, direction) ("bitBat"): equivalent to unioning
+    /// the adjacency of one side and intersecting with the other, computed
+    /// by a push or pull pass over a dense bitmap (the default).
     BitBat,
 }
 
@@ -108,8 +122,9 @@ pub enum DirectCheckMode {
 pub enum ReachCheckMode {
     /// Per candidate pair, probe the reachability index (BFL).
     PairwiseIndex,
-    /// One multi-source BFS per (edge, direction): intersect with the
-    /// ancestor/descendant set of the other side's candidates.
+    /// One multi-source BFS per (edge, direction): keep the candidates in
+    /// the ancestor/descendant set of the other side's candidates. The
+    /// sweep stops once every candidate has been reached (the default).
     BfsSets,
 }
 

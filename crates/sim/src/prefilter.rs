@@ -6,7 +6,7 @@
 //! not run to fixpoint, so it prunes strictly less — that gap is exactly
 //! what Fig. 13 measures.
 
-use crate::checks::{backward_prune_edge, forward_prune_edge};
+use crate::checks::{backward_prune_edge, forward_prune_edge, PruneScratch};
 use crate::{SimContext, SimOptions};
 use rig_bitset::Bitset;
 use rig_query::EdgeId;
@@ -15,12 +15,13 @@ use rig_query::EdgeId;
 /// match sets. Returns the filtered candidate sets.
 pub fn prefilter(ctx: &SimContext<'_>) -> Vec<Bitset> {
     let opts = SimOptions::default();
+    let mut scratch = PruneScratch::new();
     let mut fb = ctx.match_sets();
     for eid in 0..ctx.query.num_edges() as EdgeId {
-        forward_prune_edge(ctx, &mut fb, eid, &opts);
+        forward_prune_edge(ctx, &mut fb, eid, &opts, &mut scratch);
     }
     for eid in 0..ctx.query.num_edges() as EdgeId {
-        backward_prune_edge(ctx, &mut fb, eid, &opts);
+        backward_prune_edge(ctx, &mut fb, eid, &opts, &mut scratch);
     }
     fb
 }
